@@ -6,49 +6,56 @@ type candidate struct {
 	dist float64
 }
 
+// The heaps move a hole instead of swapping: the sifted candidate is held
+// aside and written once at its final position. Each step makes the same
+// comparisons a swapping heap makes, so the heap layout, and with it the
+// order equal distances leave in, is that of the swapping heap.
+
 // minHeap orders candidates by ascending distance (closest first).
 type minHeap []candidate
 
 func (h *minHeap) push(c candidate) {
-	*h = append(*h, c)
-	i := len(*h) - 1
+	s := append(*h, c)
+	i := len(s) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if (*h)[parent].dist <= (*h)[i].dist {
+		if s[parent].dist <= c.dist {
 			break
 		}
-		(*h)[parent], (*h)[i] = (*h)[i], (*h)[parent]
+		s[i] = s[parent]
 		i = parent
 	}
+	s[i] = c
+	*h = s
 }
 
 func (h *minHeap) pop() candidate {
-	old := *h
-	top := old[0]
-	n := len(old) - 1
-	old[0] = old[n]
-	*h = old[:n]
-	h.siftDown(0)
-	return top
-}
-
-func (h *minHeap) siftDown(i int) {
-	n := len(*h)
+	s := *h
+	top := s[0]
+	n := len(s) - 1
+	c := s[n]
+	s = s[:n]
+	i := 0
 	for {
 		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && (*h)[l].dist < (*h)[small].dist {
-			small = l
+		small, dist := i, c.dist
+		if l < n && s[l].dist < dist {
+			small, dist = l, s[l].dist
 		}
-		if r < n && (*h)[r].dist < (*h)[small].dist {
+		if r < n && s[r].dist < dist {
 			small = r
 		}
 		if small == i {
-			return
+			break
 		}
-		(*h)[i], (*h)[small] = (*h)[small], (*h)[i]
+		s[i] = s[small]
 		i = small
 	}
+	if n > 0 {
+		s[i] = c
+	}
+	*h = s
+	return top
 }
 
 // maxHeap orders candidates by descending distance (farthest first); it
@@ -56,45 +63,47 @@ func (h *minHeap) siftDown(i int) {
 type maxHeap []candidate
 
 func (h *maxHeap) push(c candidate) {
-	*h = append(*h, c)
-	i := len(*h) - 1
+	s := append(*h, c)
+	i := len(s) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if (*h)[parent].dist >= (*h)[i].dist {
+		if s[parent].dist >= c.dist {
 			break
 		}
-		(*h)[parent], (*h)[i] = (*h)[i], (*h)[parent]
+		s[i] = s[parent]
 		i = parent
 	}
+	s[i] = c
+	*h = s
 }
 
 func (h *maxHeap) pop() candidate {
-	old := *h
-	top := old[0]
-	n := len(old) - 1
-	old[0] = old[n]
-	*h = old[:n]
-	h.siftDown(0)
-	return top
-}
-
-func (h *maxHeap) siftDown(i int) {
-	n := len(*h)
+	s := *h
+	top := s[0]
+	n := len(s) - 1
+	c := s[n]
+	s = s[:n]
+	i := 0
 	for {
 		l, r := 2*i+1, 2*i+2
-		big := i
-		if l < n && (*h)[l].dist > (*h)[big].dist {
-			big = l
+		big, dist := i, c.dist
+		if l < n && s[l].dist > dist {
+			big, dist = l, s[l].dist
 		}
-		if r < n && (*h)[r].dist > (*h)[big].dist {
+		if r < n && s[r].dist > dist {
 			big = r
 		}
 		if big == i {
-			return
+			break
 		}
-		(*h)[i], (*h)[big] = (*h)[big], (*h)[i]
+		s[i] = s[big]
 		i = big
 	}
+	if n > 0 {
+		s[i] = c
+	}
+	*h = s
+	return top
 }
 
 func (h maxHeap) top() candidate { return h[0] }
