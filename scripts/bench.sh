@@ -1,6 +1,7 @@
 #!/bin/sh
 # Runs the parallel hot-path benchmarks: tensor matmul kernels (serial vs
-# parallel vs worker sweep), semantic batch scoring, end-to-end training
+# parallel vs worker sweep), the HNSW index (insert, search and update, with
+# allocations), semantic batch scoring, end-to-end training
 # epochs with and without the prefetch pipeline, and the kvserver serving
 # path (serial vs pipelined vs MGET wire disciplines).
 #
@@ -22,6 +23,7 @@ fi
 BENCHTIME="${BENCHTIME:-1x}"
 
 go test -run '^$' -bench 'BenchmarkMatMul' -benchtime "$BENCHTIME" ./internal/tensor/
+go test -run '^$' -bench 'BenchmarkInsert|BenchmarkSearchKNN|BenchmarkUpdate' -benchmem -benchtime "$BENCHTIME" ./internal/hnsw/
 go test -run '^$' -bench 'BenchmarkScoreBatch' -benchtime "$BENCHTIME" ./internal/semgraph/
 go test -run '^$' -bench 'BenchmarkEpoch' -benchtime "$BENCHTIME" ./internal/trainer/
 go test -run '^$' -bench 'BenchmarkServerGet|BenchmarkStoreGet|BenchmarkStoreResidentGC' -benchmem -benchtime "$BENCHTIME" ./internal/kvserver/
