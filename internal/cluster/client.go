@@ -15,13 +15,8 @@ import (
 // unavailable (breaker open or transport failure on each).
 var ErrNoNodes = errors.New("cluster: no reachable node for key")
 
-// ClientOptions configures a ring-aware cluster client.
-//
-// ClientOptions remains the carrier for the static-list constructor
-// NewClient; new code should use New with functional options (WithSeeds,
-// WithReplicas, WithBreaker, WithRetry, WithDiscovery, ...), which cover
-// everything here plus gossip-driven topology discovery.
-type ClientOptions struct {
+// clientOptions is the client configuration New's Options fold into.
+type clientOptions struct {
 	// PoolSize is the per-node connection pool size (default 2: the
 	// client fans out across nodes, so per-node pools stay small).
 	PoolSize int
@@ -37,22 +32,17 @@ type ClientOptions struct {
 	// Replicas is how many distinct ring owners are candidates for each
 	// key — the failover width (default 2).
 	Replicas int
-	// RingPoints is the virtual points per node on the ring (default 128).
-	RingPoints int
 	// Registry receives telemetry from the client and its per-node pools;
 	// nil records nothing.
 	Registry *telemetry.Registry
 }
 
-func (o ClientOptions) withDefaults() ClientOptions {
+func (o clientOptions) withDefaults() clientOptions {
 	if o.PoolSize <= 0 {
 		o.PoolSize = 2
 	}
 	if o.Replicas <= 0 {
 		o.Replicas = 2
-	}
-	if o.RingPoints <= 0 {
-		o.RingPoints = 128
 	}
 	if o.Breaker == nil {
 		o.Breaker = &kvserver.BreakerOptions{}
@@ -118,7 +108,7 @@ func newClientTelemetry(reg *telemetry.Registry) clientTelemetry {
 // the value on a secondary owner can at worst duplicate a cache entry,
 // never corrupt one.
 type Client struct {
-	opts ClientOptions
+	opts clientOptions
 	tel  clientTelemetry
 
 	mu    sync.RWMutex
@@ -132,25 +122,15 @@ type Client struct {
 	closeOnce     sync.Once
 }
 
-// NewClient builds a client over the given static node addresses.
-// Construction never dials: pools are lazy, so a client can be built while
-// some (or all) nodes are down and traffic flows as they come up.
-//
-// Deprecated: NewClient cannot express dynamic topology — the node list it
-// is handed is the node list it dies with. Use New with WithSeeds (and
-// WithDiscovery for gossip-driven membership); this constructor is kept
-// working, verified by compat tests, for existing callers.
-func NewClient(nodes []string, opts ClientOptions) (*Client, error) {
-	return newClient(nodes, opts, 0)
-}
-
-// newClient is the shared constructor behind New and NewClient.
-func newClient(seeds []string, opts ClientOptions, discoverEvery time.Duration) (*Client, error) {
+// newClient is the constructor behind New. Construction never dials: pools
+// are lazy, so a client can be built while some (or all) nodes are down and
+// traffic flows as they come up.
+func newClient(seeds []string, opts clientOptions, discoverEvery time.Duration) (*Client, error) {
 	if len(seeds) == 0 {
 		return nil, fmt.Errorf("cluster: client needs at least one seed node")
 	}
 	opts = opts.withDefaults()
-	ring, err := NewRing(opts.RingPoints)
+	ring, err := NewRing(ringPoints)
 	if err != nil {
 		return nil, err
 	}

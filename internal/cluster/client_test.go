@@ -23,28 +23,33 @@ func startNode(t *testing.T) *kvserver.Server {
 	return srv
 }
 
-func testOptions(reg *telemetry.Registry) ClientOptions {
-	return ClientOptions{
-		PoolSize: 1,
-		Dial:     kvserver.DialOptions{DialTimeout: 200 * time.Millisecond},
-		Breaker: &kvserver.BreakerOptions{
+// testClient builds a static client over seeds with one connection per
+// node, short dials and breakers that stay open once tripped.
+func testClient(t *testing.T, reg *telemetry.Registry, seeds ...string) *Client {
+	t.Helper()
+	c, err := New(
+		WithSeeds(seeds...),
+		WithPoolSize(1),
+		WithDial(kvserver.DialOptions{DialTimeout: 200 * time.Millisecond}),
+		WithBreaker(kvserver.BreakerOptions{
 			Window:           8,
 			FailureThreshold: 0.5,
 			MinSamples:       2,
 			OpenFor:          time.Minute, // stays open for the whole test
-		},
-		Replicas: 2,
-		Registry: reg,
+		}),
+		WithReplicas(2),
+		WithMetrics(reg),
+	)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return c
 }
 
 func TestClientBasicOps(t *testing.T) {
 	leakcheck.Check(t)
 	a, b := startNode(t), startNode(t)
-	c, err := NewClient([]string{a.Addr(), b.Addr()}, testOptions(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := testClient(t, nil, a.Addr(), b.Addr())
 	defer c.Close()
 
 	for id := 0; id < 64; id++ {
@@ -81,10 +86,7 @@ func TestClientFailsOverAroundDeadNode(t *testing.T) {
 	leakcheck.Check(t)
 	a, b := startNode(t), startNode(t)
 	reg := telemetry.NewRegistry()
-	c, err := NewClient([]string{a.Addr(), b.Addr()}, testOptions(reg))
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := testClient(t, reg, a.Addr(), b.Addr())
 	defer c.Close()
 
 	// Seed values while both nodes are up.
@@ -129,10 +131,7 @@ func TestClientAllNodesDown(t *testing.T) {
 	leakcheck.Check(t)
 	reg := telemetry.NewRegistry()
 	// Ports from the TCP reserved range: nothing listens there.
-	c, err := NewClient([]string{"127.0.0.1:1", "127.0.0.1:2"}, testOptions(reg))
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := testClient(t, reg, "127.0.0.1:1", "127.0.0.1:2")
 	defer c.Close()
 
 	if err := c.Set(1, []byte("v")); !errors.Is(err, ErrNoNodes) {
@@ -160,10 +159,10 @@ func TestClientAllNodesDown(t *testing.T) {
 }
 
 func TestClientValidation(t *testing.T) {
-	if _, err := NewClient(nil, ClientOptions{}); err == nil {
-		t.Fatal("NewClient(nil) succeeded")
+	if _, err := newClient(nil, clientOptions{}, 0); err == nil {
+		t.Fatal("newClient(nil) succeeded")
 	}
-	if _, err := NewClient([]string{"n1", "n1"}, ClientOptions{}); err == nil {
-		t.Fatal("NewClient with duplicate nodes succeeded")
+	if _, err := newClient([]string{"n1", "n1"}, clientOptions{}, 0); err == nil {
+		t.Fatal("newClient with duplicate nodes succeeded")
 	}
 }

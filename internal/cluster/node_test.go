@@ -103,6 +103,32 @@ func TestNodeGossipMembershipConverges(t *testing.T) {
 	}
 }
 
+// TestNodeAndClientRingsAgree pins placement to one ring size: a daemon
+// and a client built by New must route every id to the same owners, or
+// writes replicate to nodes the client never reads from.
+func TestNodeAndClientRingsAgree(t *testing.T) {
+	leakcheck.Check(t)
+	n1 := startTestNode(t)
+	n2 := startTestNode(t, n1.Addr())
+	n3 := startTestNode(t, n1.Addr())
+	waitMembers(t, 3, n1, n2, n3)
+
+	c, err := New(WithSeeds(n1.Addr(), n2.Addr(), n3.Addr()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	for id := 0; id < 10000; id++ {
+		want := fmt.Sprint(c.Ring().Owners(id, 2))
+		for _, n := range []*Node{n1, n2, n3} {
+			if got := fmt.Sprint(n.Ring().Owners(id, 2)); got != want {
+				t.Fatalf("id %d: node %s places on %s, client on %s", id, n.Addr(), got, want)
+			}
+		}
+	}
+}
+
 func TestReplicatedSetReadableFromEveryOwner(t *testing.T) {
 	leakcheck.Check(t)
 	n1 := startTestNode(t)

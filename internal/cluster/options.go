@@ -18,7 +18,7 @@ type Option func(*clientSettings)
 type clientSettings struct {
 	seeds         []string
 	discoverEvery time.Duration
-	opts          ClientOptions
+	opts          clientOptions
 	err           error
 }
 
@@ -68,7 +68,7 @@ func WithRetry(r kvserver.RetryOptions) Option {
 // WithDiscovery enables gossip-driven membership: the client polls the
 // cluster's NODES verb every interval and adds/removes nodes as the
 // daemons' member lists change. Without this option the node set is
-// static, exactly like the deprecated NewClient.
+// static: the seeds are the nodes.
 func WithDiscovery(every time.Duration) Option {
 	return func(s *clientSettings) {
 		if every <= 0 {
@@ -95,18 +95,6 @@ func WithDial(d kvserver.DialOptions) Option {
 	return func(s *clientSettings) { s.opts.Dial = d }
 }
 
-// WithRingPoints sets the virtual points per node on the placement ring
-// (default 128; higher = smoother balance, larger ring).
-func WithRingPoints(n int) Option {
-	return func(s *clientSettings) {
-		if n < 1 {
-			s.fail(fmt.Errorf("cluster: WithRingPoints needs n >= 1, got %d", n))
-			return
-		}
-		s.opts.RingPoints = n
-	}
-}
-
 // WithMetrics routes the client's (and its pools') telemetry into reg.
 func WithMetrics(reg *telemetry.Registry) Option {
 	return func(s *clientSettings) { s.opts.Registry = reg }
@@ -116,9 +104,9 @@ func WithMetrics(reg *telemetry.Registry) Option {
 //
 //	c, err := cluster.New(cluster.WithSeeds("host:7461"))
 //
-// which behaves like the deprecated NewClient over a one-node list; add
-// WithDiscovery to track live membership, WithReplicas / WithBreaker /
-// WithRetry to tune placement and resilience. Construction never dials.
+// which routes over a static one-node list; add WithDiscovery to track
+// live membership, WithReplicas / WithBreaker / WithRetry to tune placement
+// and resilience. Construction never dials.
 func New(opts ...Option) (*Client, error) {
 	var s clientSettings
 	for _, opt := range opts {

@@ -12,8 +12,14 @@ package cluster
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 )
+
+// ringPoints is the virtual points per node on every placement ring a
+// daemon or client builds. It is a constant, not a knob: a node and a client
+// that disagree on it place a third of the keys on different owners.
+const ringPoints = 128
 
 // Ring is a consistent-hash ring. It is safe for concurrent use.
 type Ring struct {
@@ -98,26 +104,16 @@ func (r *Ring) Nodes() []string {
 	return out
 }
 
-// Owner returns the node owning sample id, or "" when the ring is empty.
-// It is OwnerKey over the id's wire key, so id- and key-based routing can
-// never disagree.
-func (r *Ring) Owner(id int) string { return r.OwnerKey(key(id)) }
+// key is the wire key a sample id is stored under.
+func key(id int) string { return "sample:" + strconv.Itoa(id) }
 
-// OwnerKey returns the node owning the given wire key, or "" when the
-// ring is empty. Daemons route replication and migration by key string
-// (they see keys, not sample IDs); clients route by id through Owner.
-func (r *Ring) OwnerKey(k string) string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if len(r.points) == 0 {
-		return ""
+// Owner returns the primary owner of sample id, or "" when the ring is
+// empty. It is the first of Owners, so the two can never disagree.
+func (r *Ring) Owner(id int) string {
+	if owners := r.Owners(id, 1); len(owners) == 1 {
+		return owners[0]
 	}
-	h := hash64(k)
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	if i == len(r.points) {
-		i = 0
-	}
-	return r.points[i].node
+	return ""
 }
 
 // Owners returns the distinct nodes owning the first `n` replicas-worth of
@@ -125,7 +121,9 @@ func (r *Ring) OwnerKey(k string) string {
 // returned when the ring is smaller than n.
 func (r *Ring) Owners(id, n int) []string { return r.OwnersKey(key(id), n) }
 
-// OwnersKey is Owners for a wire key (see OwnerKey).
+// OwnersKey is Owners for a wire key. Daemons route replication and
+// migration by key string (they see keys, not sample IDs); clients route by
+// id through Owners.
 func (r *Ring) OwnersKey(k string, n int) []string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()

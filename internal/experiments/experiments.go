@@ -43,9 +43,6 @@ type Options struct {
 	Threads int
 }
 
-// DefaultOptions returns full-scale settings.
-func DefaultOptions() Options { return Options{Scale: 1.0, Seed: 42} }
-
 func (o *Options) fillDefaults() {
 	if o.Scale <= 0 {
 		o.Scale = 1.0

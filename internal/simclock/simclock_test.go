@@ -61,20 +61,3 @@ func TestOverlap2(t *testing.T) {
 		}
 	}
 }
-
-func TestFormatDuration(t *testing.T) {
-	cases := []struct {
-		d    time.Duration
-		want string
-	}{
-		{90 * time.Minute, "1.5h"},
-		{90 * time.Second, "1.5m"},
-		{1500 * time.Millisecond, "1.50s"},
-		{500 * time.Microsecond, "0.50ms"},
-	}
-	for _, c := range cases {
-		if got := FormatDuration(c.d); got != c.want {
-			t.Errorf("FormatDuration(%v) = %q, want %q", c.d, got, c.want)
-		}
-	}
-}

@@ -1,7 +1,8 @@
 #!/bin/sh
 # One-shot verification gate: formatting, module hygiene, build, vet with an
 # explicit check list, the project's own static analysis (spiderlint), the
-# full test suite, and the race-sensitive subset under -race. Everything CI
+# full test suite, the perfbench module's vet and tests, and the
+# race-sensitive subset under -race. Everything CI
 # (and a careful human) runs before trusting a tree, in dependency order —
 # cheap, syntactic gates first, so failures surface fast.
 #
@@ -40,6 +41,13 @@ go run ./cmd/spiderlint ./...
 
 echo "== go test"
 go test ./...
+
+# perfbench is a nested module, so ./... above never compiles it. It builds
+# against this module's internal packages (cluster.NodeOptions, trainer
+# hooks, ...); vet and test it here so an API change that breaks the
+# benchmark fails the gate instead of the next benchmark run.
+echo "== perfbench vet + test"
+(cd perfbench && go vet . && go test .)
 
 # The arena store's whole claim is GC-free reads: a single allocation per
 # GET would silently reintroduce the per-op garbage the design exists to

@@ -1,8 +1,7 @@
 package spidercache
 
-// API-compat tests for the v1 entry points: Train(TrainConfig) and the
-// 5-arg RunExperiment must keep compiling and behave identically to the
-// redesigned TrainWith / RenderExperiment APIs.
+// API-compat tests for the v1 entry point: Train(TrainConfig) must keep
+// compiling and behave identically to the redesigned TrainWith API.
 
 import (
 	"math"
@@ -46,36 +45,6 @@ func TestTrainConfigCompat(t *testing.T) {
 		if old.Epochs[i] != opt.Epochs[i] {
 			t.Fatalf("epoch %d diverged: %+v vs %+v", i, old.Epochs[i], opt.Epochs[i])
 		}
-	}
-}
-
-// TestRunExperimentCompat pins the deprecated boolean-flag wrapper against
-// RenderExperiment.
-func TestRunExperimentCompat(t *testing.T) {
-	oldText, err := RunExperiment("fig11", 0.1, 2, 1, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	newText, err := RenderExperiment("fig11", 0.1, 2, 1, FormatText)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if oldText != newText {
-		t.Fatal("RunExperiment(csv=false) != RenderExperiment(FormatText)")
-	}
-	oldCSV, err := RunExperiment("fig11", 0.1, 2, 1, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	newCSV, err := RenderExperiment("fig11", 0.1, 2, 1, FormatCSV)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if oldCSV != newCSV {
-		t.Fatal("RunExperiment(csv=true) != RenderExperiment(FormatCSV)")
-	}
-	if oldCSV == oldText {
-		t.Fatal("csv and text renderings should differ")
 	}
 }
 
