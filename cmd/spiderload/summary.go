@@ -6,9 +6,44 @@ import (
 	"spidercache/internal/xrand"
 )
 
+// loadResult is the JSON summary the -json flag persists, with one schema
+// for both the single-node and cluster modes so A/B tooling (BENCH_6.json,
+// BENCH_7.json, scripts/bench.sh) can diff runs field-for-field: mode
+// tells them apart ("single" vs "cluster"), throughput/latency/hit-rate
+// fields mean the same thing in both, and the cluster-only resilience
+// counters are simply zero in a single-node run.
+type loadResult struct {
+	Mode          string   `json:"mode"`
+	StoreMode     string   `json:"store_mode"`
+	Admission     string   `json:"admission"`
+	Nodes         []string `json:"nodes"`
+	Replicas      int      `json:"replicas"`
+	Ops           int      `json:"ops"`
+	ElapsedSec    float64  `json:"elapsed_seconds"`
+	OpsPerSec     float64  `json:"ops_per_sec"`
+	MBPerSec      float64  `json:"mb_per_sec"`
+	HitRatio      float64  `json:"hit_ratio"`
+	NGetOps       int      `json:"nget_ops"`
+	NGetExact     int      `json:"nget_exact"`
+	NGetNear      int      `json:"nget_near"`
+	NGetMiss      int      `json:"nget_miss"`
+	NGetMeanDist  float64  `json:"nget_mean_dist"`
+	P50Ms         float64  `json:"p50_ms"`
+	P95Ms         float64  `json:"p95_ms"`
+	P99Ms         float64  `json:"p99_ms"`
+	MaxMs         float64  `json:"max_ms"`
+	ClientErrors  int64    `json:"client_errors"`
+	PoolRetries   int64    `json:"pool_retries"`
+	Rerouted      int64    `json:"failover_rerouted"`
+	Exhausted     int64    `json:"failover_exhausted"`
+	NodesAdded    int64    `json:"discovery_added"`
+	NodesRemoved  int64    `json:"discovery_removed"`
+	FinalNodeSet  []string `json:"final_node_set"`
+	FinalHealth   int      `json:"final_serving_nodes"`
+	KeysPopulated int      `json:"keys_populated"`
+}
+
 // loadTotals is the raw volume a run accumulated, summed across workers.
-// Both the single-node path (workerResult) and the cluster path
-// (clusterWorkerResult) embed it so one summarizer serves both.
 type loadTotals struct {
 	ops       int
 	gets      int // exact GETs only; NGETs are counted separately
@@ -32,6 +67,36 @@ func (t *loadTotals) add(o loadTotals) {
 	t.ngetNear += o.ngetNear
 	t.ngetMiss += o.ngetMiss
 	t.ngetDist += o.ngetDist
+}
+
+// count folds one finished window into t. A failed window arrives with
+// zeroed results and setBytes 0, so its reads count as misses and its
+// writes move no bytes.
+func (t *loadTotals) count(w *window, setBytes int) {
+	for i, r := range w.res[:w.n] {
+		switch w.kinds[i] {
+		case opGet:
+			t.gets++
+			if r.Found {
+				t.hits++
+			}
+		case opNGet:
+			t.ngets++
+			switch {
+			case r.Near != nil:
+				t.ngetNear++
+				t.ngetDist += r.Near.Dist
+			case r.Found:
+				t.ngetExact++
+			default:
+				t.ngetMiss++
+			}
+		default:
+			t.bytes += int64(setBytes)
+		}
+		t.bytes += int64(len(r.Value))
+	}
+	t.ops += w.n
 }
 
 // fillTotals populates the volume-derived fields of a loadResult from the

@@ -76,7 +76,8 @@ elif [ "${SKIP_RACE:-0}" != "1" ]; then
         ./internal/cache/... \
         ./internal/hnsw/... ./internal/semgraph/... ./internal/trainer/... \
         ./internal/par/... ./internal/leakcheck/... \
-        ./internal/faultnet/... ./internal/cluster/...
+        ./internal/faultnet/... ./internal/cluster/... \
+        ./cmd/spiderload/
 fi
 
 echo "check.sh: all gates passed"
